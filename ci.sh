@@ -14,6 +14,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== build (release) =="
 cargo build --workspace --release
 
+echo "== build the benchmark (release) =="
+# perfbench is a workspace of its own, so the clippy and build steps
+# above never compile it; an API change that breaks the benchmark must
+# still fail here.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== test =="
 cargo test --workspace -q
 

@@ -47,5 +47,5 @@ pub use duplex::{DuplexChannel, Message, RecvError};
 pub use earth::{EarthConfig, EarthRun};
 pub use mpi::MpiWorld;
 pub use reliable::{
-    DeliveryError, ReliabilityStats, ReliableChannel, ResilientNetwork, RetryPolicy,
+    DeliveryError, ReliabilityStats, ReliableChannel, ResilientNetwork, DEFAULT_RETRY,
 };

@@ -85,7 +85,8 @@ pub struct LinkRepair {
     pub link: LinkRef,
 }
 
-/// Why a [`FaultPlan`] could not be built or applied.
+/// Why a [`FaultPlan`] could not be built or applied, or a resilient
+/// run could not be configured to carry it.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum FaultPlanError {
     /// The transient corruption rate must be a probability in `[0, 1)`:
@@ -99,6 +100,12 @@ pub enum FaultPlanError {
     /// fired — a plan built for one topology applied to another just
     /// looked like a miraculously clean run.
     UnknownLink(LinkRef),
+    /// A resilient run's watchdog scan period is zero: each scan would
+    /// reschedule the next at the same instant, forever.
+    ZeroScanPeriod,
+    /// A retransmission policy allows zero attempts: no transfer could
+    /// ever be sent.
+    ZeroAttempts,
 }
 
 impl core::fmt::Display for FaultPlanError {
@@ -110,6 +117,8 @@ impl core::fmt::Display for FaultPlanError {
             FaultPlanError::UnknownLink(l) => {
                 write!(f, "fault plan names a link the topology lacks: {l:?}")
             }
+            FaultPlanError::ZeroScanPeriod => write!(f, "watchdog scan period is zero"),
+            FaultPlanError::ZeroAttempts => write!(f, "retransmission policy allows no attempts"),
         }
     }
 }
@@ -201,34 +210,14 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules `count` node-link failures at seed-derived nodes,
-    /// planes and instants within `[0, horizon)`. The schedule is a pure
-    /// function of the plan seed: the same seed always kills the same
-    /// links at the same times.
-    pub fn random_node_link_downs(mut self, nodes: usize, count: u32, horizon: Duration) -> Self {
-        assert!(nodes > 0, "need at least one node");
-        let mut rng = SimRng::seed_from(self.seed ^ SCHEDULE_STREAM);
-        for _ in 0..count {
-            let node = rng.gen_range(0, nodes as u64) as NodeId;
-            let plane = rng.gen_range(0, 2) as u32;
-            let at = Time::from_ps(rng.gen_range(0, horizon.as_ps().max(1)));
-            self.link_downs.push(LinkDown {
-                at,
-                link: LinkRef::NodeLink { node, plane },
-            });
-        }
-        self.link_downs.sort_by_key(|d| d.at);
-        self
-    }
-
     /// Schedules `count` link failures drawn uniformly over the links
     /// `topology` actually has — node links *and* crossbar-to-crossbar
     /// links, each physical link counted once — at seed-derived instants
-    /// within `[0, horizon)`. Unlike
-    /// [`FaultPlan::random_node_link_downs`], every generated
-    /// [`LinkRef`] is valid for `topology` by construction, so a
-    /// hierarchical system's 272 crossbars get their middle uplinks
-    /// killed too, not just node cables.
+    /// within `[0, horizon)`. The schedule is a pure function of the
+    /// plan seed and the topology, and every generated [`LinkRef`] is
+    /// valid for `topology` by construction, so a hierarchical system's
+    /// 272 crossbars get their middle uplinks killed too, not just node
+    /// cables.
     ///
     /// # Panics
     ///
@@ -437,18 +426,20 @@ mod tests {
 
     #[test]
     fn same_seed_same_schedule() {
+        let t = Topology::system256();
         let horizon = Duration::from_ms(5);
-        let a = FaultPlan::clean(7).random_node_link_downs(128, 6, horizon);
-        let b = FaultPlan::clean(7).random_node_link_downs(128, 6, horizon);
+        let a = FaultPlan::clean(7).random_link_downs(&t, 6, horizon);
+        let b = FaultPlan::clean(7).random_link_downs(&t, 6, horizon);
         assert_eq!(a, b);
         assert_eq!(a.schedule().len(), 6);
     }
 
     #[test]
     fn different_seeds_diverge() {
+        let t = Topology::system256();
         let horizon = Duration::from_ms(5);
-        let a = FaultPlan::clean(1).random_node_link_downs(128, 6, horizon);
-        let b = FaultPlan::clean(2).random_node_link_downs(128, 6, horizon);
+        let a = FaultPlan::clean(1).random_link_downs(&t, 6, horizon);
+        let b = FaultPlan::clean(2).random_link_downs(&t, 6, horizon);
         assert_ne!(a.schedule(), b.schedule());
     }
 
@@ -457,7 +448,7 @@ mod tests {
         let plan = FaultPlan::clean(3)
             .kill_link(Time::from_ps(500), LinkRef::NodeLink { node: 1, plane: 0 })
             .kill_link(Time::from_ps(100), LinkRef::XbarPort { xbar: 0, port: 3 })
-            .random_node_link_downs(8, 4, Duration::from_us(1));
+            .random_link_downs(&Topology::cluster8(), 4, Duration::from_us(1));
         let times: Vec<u64> = plan.schedule().iter().map(|d| d.at.as_ps()).collect();
         let mut sorted = times.clone();
         sorted.sort_unstable();
@@ -546,19 +537,22 @@ mod tests {
     #[test]
     fn validate_rejects_out_of_range_refs() {
         let t = Topology::system256();
-        // A plan drawn for a 4096-node machine names nodes a 128-node
-        // topology lacks; before validation these events silently never
-        // fired.
-        let plan = FaultPlan::clean(3).random_node_link_downs(4096, 16, Duration::from_ms(1));
+        // A node a 128-node topology lacks; before validation such
+        // events silently never fired.
+        let node = LinkRef::NodeLink {
+            node: 4000,
+            plane: 1,
+        };
+        let plan = FaultPlan::clean(3).kill_link(Time::ZERO, node);
         let err = plan.validate(&t).unwrap_err();
-        assert!(matches!(err, FaultPlanError::UnknownLink(_)), "{err}");
+        assert_eq!(err, FaultPlanError::UnknownLink(node), "{err}");
         // Same for a crossbar port beyond the 16x16 ASIC.
         let bad =
             FaultPlan::clean(0).kill_link(Time::ZERO, LinkRef::XbarPort { xbar: 0, port: 99 });
         assert!(bad.validate(&t).is_err());
         // In-range plans pass.
         FaultPlan::clean(3)
-            .random_node_link_downs(128, 16, Duration::from_ms(1))
+            .random_link_downs(&t, 16, Duration::from_ms(1))
             .validate(&t)
             .expect("in-range plan validates");
     }

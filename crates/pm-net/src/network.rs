@@ -249,60 +249,6 @@ impl Network {
         }
     }
 
-    /// Opens a connection on `plane`, choosing adaptively among the
-    /// equivalent permutation-network paths
-    /// ([`Topology::equivalent_routes`]): candidates whose outputs are
-    /// held by open connections are skipped, and the rest are ranked by
-    /// the sum of per-port conflict counters
-    /// ([`Crossbar::port_conflicts`]) along the route — the
-    /// least-contended live path wins, ties broken in deterministic
-    /// port order (which makes the policy degrade to oblivious routing
-    /// on an idle network).
-    ///
-    /// # Errors
-    ///
-    /// Same classification as [`Network::open`]; [`RouteError::PortHeld`]
-    /// means *every* equivalent path is blocked by a held output.
-    pub fn open_adaptive(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        plane: u32,
-        t: Time,
-    ) -> Result<Connection, RouteError> {
-        let candidates = self
-            .topology
-            .equivalent_routes(src, dst, plane, &self.dead_links);
-        if candidates.is_empty() {
-            return Err(if self.topology.route(src, dst, plane).is_some() {
-                RouteError::NoHealthyPath
-            } else {
-                RouteError::NoPath
-            });
-        }
-        let mut best: Option<(u64, usize)> = None;
-        for (i, r) in candidates.iter().enumerate() {
-            if r.hops
-                .iter()
-                .any(|h| self.crossbars[h.xbar].is_held(h.out_port))
-            {
-                continue;
-            }
-            let score: u64 = r
-                .hops
-                .iter()
-                .map(|h| self.crossbars[h.xbar].port_conflicts(h.out_port))
-                .sum();
-            if best.is_none_or(|(s, _)| score < s) {
-                best = Some((score, i));
-            }
-        }
-        match best {
-            Some((_, i)) => self.try_establish(candidates.into_iter().nth(i).expect("in range"), t),
-            None => Err(RouteError::PortHeld),
-        }
-    }
-
     /// Opens a connection on `preferred_plane` if it still has a healthy
     /// route, otherwise on the other plane — the duplicated network's
     /// whole reason to exist. The returned [`FailoverOutcome`] says
@@ -528,11 +474,6 @@ impl Connection {
     /// Total payload bytes sent over this connection.
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Whether close has been recorded.
-    pub fn is_closed(&self) -> bool {
-        self.closed
     }
 }
 
@@ -841,24 +782,6 @@ mod tests {
         let mut a = a;
         a.close(&mut net, Time::ZERO + Duration::from_us(1));
         net.open(1, 126, 0, Time::ZERO).expect("route freed");
-    }
-
-    #[test]
-    fn open_adaptive_detours_around_held_uplinks() {
-        let mut net = Network::new(Topology::system256());
-        let a = net.open_adaptive(0, 127, 0, Time::ZERO).unwrap();
-        // The oblivious route for 1 -> 126 collides with `a` on the
-        // first uplink; the adaptive open must pick another middle.
-        let b = net.open_adaptive(1, 126, 0, Time::ZERO).expect("8 middles");
-        assert_eq!(b.route().crossbars(), 3);
-        assert_ne!(a.route().hops[1].xbar, b.route().hops[1].xbar);
-        // On an idle network the adaptive choice degrades to the
-        // oblivious one.
-        let mut idle = Network::new(Topology::system256());
-        let oblivious = idle.open(0, 127, 0, Time::ZERO).unwrap();
-        let mut idle2 = Network::new(Topology::system256());
-        let adaptive = idle2.open_adaptive(0, 127, 0, Time::ZERO).unwrap();
-        assert_eq!(oblivious.route(), adaptive.route());
     }
 
     #[test]

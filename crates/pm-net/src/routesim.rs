@@ -14,9 +14,15 @@
 //! once, so the per-event path allocates nothing. Routes live in one
 //! flat pooled arena (`Vec<Hop>` plus per-worm spans), waiter queues
 //! are indexed by a prefix-sum port base instead of a map, arrivals
-//! merge from a sorted cursor against a completions-only event heap
+//! merge from a sorted cursor against the event heap
 //! ([`pm_sim::event::EventQueue::pop_if_before`]), and a [`RouteSim`]
 //! reused across runs recycles every buffer.
+//!
+//! There is one event loop. [`RouteSim::run_resilient`] arms a fault
+//! layer on it — link deaths and repairs, transient corruption, per-
+//! source health tables, retransmission and a progress watchdog — and
+//! [`RouteSim::run`] leaves it disarmed: no watchdog scans, no health
+//! lookups, no link spans, no corruption draws.
 //!
 //! Routing is a policy decided at injection time:
 //!
@@ -131,42 +137,48 @@ pub enum FailoverMode {
     Detected,
 }
 
-/// Capped exponential backoff with deterministic jitter, applied
-/// between retransmission attempts of one worm.
+/// Capped exponential backoff with optional deterministic jitter: the
+/// gap a sender waits between retransmission attempts. The machine's
+/// one backoff type — resilient route runs and `pm_comm`'s reliable
+/// transports both space their retries with it.
 ///
-/// Jitter is the point: without it, worms severed by the same link
-/// death retry in lockstep and re-collide on the surviving routes
-/// (synchronized retry storms). The jittered gap is drawn uniformly
-/// from `[backoff/2, backoff]` by a splitmix64 hash of `(jitter_seed,
-/// salt, attempt)` — deterministic per worm, decorrelated across worms.
+/// Jitter matters on a shared fabric: without it, worms severed by the
+/// same link death retry in lockstep and re-collide on the surviving
+/// routes (synchronized retry storms). With a `jitter` seed the gap is
+/// drawn uniformly from `[backoff/2, backoff]` by a splitmix64 hash of
+/// `(seed, salt, attempt)` — deterministic per transfer, decorrelated
+/// across transfers. Without one, the gap is exactly the backoff.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetransmitPolicy {
     /// Total transmission attempts (first try included) before the
-    /// worm is dropped.
+    /// transfer is dropped.
     pub max_attempts: u32,
     /// Backoff ceiling for attempt 1; doubles per attempt.
     pub initial_backoff: Duration,
     /// Saturation cap on the doubling.
     pub max_backoff: Duration,
-    /// Seed decorrelating this run's jitter from other runs'.
-    pub jitter_seed: u64,
+    /// `Some(seed)` jitters every gap, the seed decorrelating this
+    /// run's jitter from other runs'; `None` keeps the exact doubling.
+    pub jitter: Option<u64>,
 }
 
 impl Default for RetransmitPolicy {
+    /// The route simulator's policy: 16 attempts, 2 µs doubling to a
+    /// 256 µs cap, jittered.
     fn default() -> Self {
         RetransmitPolicy {
             max_attempts: 16,
             initial_backoff: Duration::from_us(2),
             max_backoff: Duration::from_us(256),
-            jitter_seed: 0x5EED,
+            jitter: Some(0x5EED),
         }
     }
 }
 
 impl RetransmitPolicy {
-    /// Gap before the attempt after `attempt` (1-based) for the worm
-    /// identified by `salt`: capped exponential, jittered into
-    /// `[backoff/2, backoff]`.
+    /// Gap before the attempt after `attempt` (1-based) for the
+    /// transfer identified by `salt`: capped exponential, jittered into
+    /// `[backoff/2, backoff]` if the policy has a jitter seed.
     pub fn gap_after(&self, salt: u64, attempt: u32) -> Duration {
         let doublings = attempt.saturating_sub(1).min(20);
         let raw = self
@@ -174,13 +186,12 @@ impl RetransmitPolicy {
             .as_ps()
             .saturating_mul(1u64 << doublings);
         let backoff = raw.min(self.max_backoff.as_ps());
+        let Some(seed) = self.jitter else {
+            return Duration::from_ps(backoff);
+        };
         let lo = backoff / 2;
         let span = backoff - lo + 1;
-        let h = mix64(
-            self.jitter_seed
-                ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ (u64::from(attempt) << 32),
-        );
+        let h = mix64(seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u64::from(attempt) << 32));
         Duration::from_ps(lo + h % span)
     }
 }
@@ -400,7 +411,7 @@ impl ResilientResult {
 }
 
 /// Per-worm in-flight bookkeeping (pooled, reset per run).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct WormState {
     /// Start of this worm's hop span in the route arena.
     span_start: usize,
@@ -413,10 +424,11 @@ struct WormState {
     head_at: Time,
 }
 
-/// Lifecycle of a worm under the resilient run loop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Lifecycle of a worm while the fault layer is armed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum RPhase {
     /// Not yet injected (or queued behind its source interface).
+    #[default]
     Idle,
     /// Acquiring ports; waiting on a contended output.
     Blocked,
@@ -431,7 +443,7 @@ enum RPhase {
 }
 
 /// Per-worm resilience bookkeeping (pooled, reset per run).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct RWorm {
     phase: RPhase,
     /// Transmission attempts started.
@@ -462,24 +474,6 @@ struct RWorm {
     done_at: Time,
 }
 
-impl RWorm {
-    const IDLE: RWorm = RWorm {
-        phase: RPhase::Idle,
-        attempts: 0,
-        crc_failures: 0,
-        severed: 0,
-        plane: 0,
-        failed_over: false,
-        rerouted: false,
-        lstart: 0,
-        nlinks: 0,
-        started_at: Time::ZERO,
-        epoch: 0,
-        last_epoch: 0,
-        done_at: Time::ZERO,
-    };
-}
-
 /// A scheduled change to the physical link state.
 #[derive(Clone, Copy, Debug)]
 enum FaultChange {
@@ -487,10 +481,11 @@ enum FaultChange {
     Up,
 }
 
-/// Events of the resilient run loop (completions share the queue with
-/// retries, faults and watchdog scans).
+/// Events of the run loop. A disarmed run only ever schedules `Done`;
+/// the armed fault layer adds retries, link-state changes and watchdog
+/// scans to the same heap.
 #[derive(Clone, Copy, Debug)]
-enum REvent {
+enum Event {
     /// A streaming worm's last byte reached the destination.
     Done(usize),
     /// A backoff lapsed; retransmit.
@@ -519,7 +514,10 @@ fn hop_links(hops: &[Hop], links: &mut [LinkKey; 4]) -> usize {
 ///
 /// Construction compiles the topology into flat adjacency tables (node
 /// attachments per plane, crossbar-to-crossbar links in port order);
-/// [`RouteSim::run`] then touches only vectors. Reuse across runs
+/// [`RouteSim::run`] then touches only vectors. Both entry points drive
+/// one event loop; [`RouteSim::run_resilient`] arms the fault, health
+/// and watchdog layer on top of it, and [`RouteSim::run`] leaves it
+/// disarmed, so a fault-free run pays for none of it. Reuse across runs
 /// recycles the route arena, waiter queues, event heap and crossbar
 /// state — results are identical to a fresh simulator's.
 pub struct RouteSim {
@@ -546,21 +544,32 @@ pub struct RouteSim {
     src_queue: Vec<VecDeque<usize>>,
     /// Per source node: a worm currently owns the link interface.
     src_busy: Vec<bool>,
-    /// In-flight completions only: worm idx, due at its last byte.
-    queue: EventQueue<usize>,
+    /// The event heap: completions, plus retries, link-state changes
+    /// and watchdog scans while the fault layer is armed.
+    events: EventQueue<Event>,
     /// Worm indices sorted by inject time (arrival cursor scratch).
     order: Vec<usize>,
     /// Candidate-route scratch: flat hops plus span bounds.
     cand_hops: Vec<Hop>,
     cand_spans: Vec<(usize, usize)>,
+    /// Eligible-candidate scratch: indices into `cand_spans`.
+    cand_ok: Vec<usize>,
     completions: Vec<Time>,
     finished_at: Time,
-    payload_bytes: u64,
     inflight: usize,
     peak_inflight: usize,
     detours: u64,
+    /// Worms not yet terminal.
+    live: usize,
+    /// The run's ledger (a disarmed run fills only the delivery
+    /// counters).
+    stats: ResilienceStats,
+    /// The run's configuration; a disarmed run reads only its policy.
+    cfg: ResilienceConfig,
+    /// Whether faults, health tables and the watchdog are in play.
+    armed: bool,
 
-    // --- pooled fault-aware state (run_resilient only) ---
+    // --- pooled fault-layer state (armed runs only) ---
     /// Per global output port: canonical key of the wired link, if any
     /// (fault-ref resolution).
     port_link: Vec<Option<LinkKey>>,
@@ -577,15 +586,8 @@ pub struct RouteSim {
     orphans: Vec<(usize, u32)>,
     /// Resolved fault schedule: time-sorted deaths and repairs.
     fault_sched: Vec<(Time, FaultChange, LinkKey)>,
-    /// Resilient-run event heap (completions, retries, faults, scans).
-    revents: EventQueue<REvent>,
-    /// Healthy-candidate scratch: indices into `cand_spans`.
-    cand_ok: Vec<usize>,
     /// Transient-corruption stream for the current run.
     injector: Option<TransientInjector>,
-    /// Worms not yet terminal.
-    live: usize,
-    rstats: ResilienceStats,
 }
 
 impl RouteSim {
@@ -634,16 +636,20 @@ impl RouteSim {
             waiters: vec![VecDeque::new(); total_ports],
             src_queue: vec![VecDeque::new(); nodes],
             src_busy: vec![false; nodes],
-            queue: EventQueue::new(),
+            events: EventQueue::new(),
             order: Vec::new(),
             cand_hops: Vec::new(),
             cand_spans: Vec::new(),
+            cand_ok: Vec::new(),
             completions: Vec::new(),
             finished_at: Time::ZERO,
-            payload_bytes: 0,
             inflight: 0,
             peak_inflight: 0,
             detours: 0,
+            live: 0,
+            stats: ResilienceStats::default(),
+            cfg: ResilienceConfig::default(),
+            armed: false,
             port_link,
             rstates: Vec::new(),
             link_arena: Vec::new(),
@@ -651,11 +657,7 @@ impl RouteSim {
             health: vec![HealthTable::new(); nodes],
             orphans: Vec::new(),
             fault_sched: Vec::new(),
-            revents: EventQueue::new(),
-            cand_ok: Vec::new(),
             injector: None,
-            live: 0,
-            rstats: ResilienceStats::default(),
         }
     }
 
@@ -734,18 +736,20 @@ impl RouteSim {
         );
     }
 
-    /// Picks a candidate span per `policy`, against the live crossbars.
-    fn choose(&mut self, policy: RoutePolicy) -> (usize, usize) {
-        match policy {
-            RoutePolicy::Oblivious => self.cand_spans[0],
+    /// Chooses among the candidates in `cand_ok` per the run's policy.
+    /// Oblivious takes the first. Adaptive prefers free paths by least
+    /// conflict-sum; if every path has a held output, it takes the one
+    /// with the fewest held hops (it frees soonest in expectation),
+    /// conflicts as the tiebreak. `(held, conflicts, index)` sorts all
+    /// of that lexicographically without allocating. `None` if no
+    /// candidate survived the health filter.
+    fn choose_candidate(&mut self) -> Option<usize> {
+        match self.cfg.policy {
+            RoutePolicy::Oblivious => self.cand_ok.first().copied(),
             RoutePolicy::Adaptive => {
-                // Prefer free paths by least conflict-sum; if every path
-                // has a held output, take the one with the fewest held
-                // hops (it frees soonest in expectation), conflicts as
-                // the tiebreak. `(held, conflicts, index)` sorts all of
-                // that lexicographically without allocating.
                 let mut best: Option<(usize, u64, usize)> = None;
-                for (i, &(start, len)) in self.cand_spans.iter().enumerate() {
+                for &i in &self.cand_ok {
+                    let (start, len) = self.cand_spans[i];
                     let mut held = 0usize;
                     let mut conflicts = 0u64;
                     for h in &self.cand_hops[start..start + len] {
@@ -758,17 +762,19 @@ impl RouteSim {
                         best = Some(key);
                     }
                 }
-                let (_, _, i) = best.expect("candidates are never empty");
+                let (_, _, i) = best?;
                 if i != 0 {
                     self.detours += 1;
                 }
-                self.cand_spans[i]
+                Some(i)
             }
         }
     }
 
-    /// Simulates one worm batch under `policy`. Results are identical
-    /// to a fresh simulator's — reuse only recycles allocations.
+    /// Simulates one worm batch under `policy` on a fault-free network:
+    /// the shared run loop with the fault layer disarmed. Results are
+    /// identical to a fresh simulator's — reuse only recycles
+    /// allocations.
     ///
     /// # Panics
     ///
@@ -777,168 +783,38 @@ impl RouteSim {
     /// acquisition order admits a hold-and-wait cycle (wormhole
     /// deadlock — impossible on the hierarchical configurations).
     pub fn run(&mut self, worms: &[Worm], policy: RoutePolicy) -> RouteSimResult {
-        self.reset(worms);
-        let mut cursor = 0;
-        while cursor < self.order.len() {
-            let at = worms[self.order[cursor]].inject_at;
-            if let Some((now, w)) = self.queue.pop_if_before(at) {
-                self.on_done(worms, w, now, policy);
-            } else {
-                let w = self.order[cursor];
-                cursor += 1;
-                let src = worms[w].src;
-                self.src_queue[src].push_back(w);
-                if !self.src_busy[src] {
-                    self.start_next(worms, src, at, policy);
-                }
-            }
-        }
-        while let Some((now, w)) = self.queue.pop() {
-            self.on_done(worms, w, now, policy);
-        }
-        assert!(
-            self.completions.iter().all(|&c| c > Time::ZERO),
-            "wormhole deadlock: a worm never completed (cyclic port acquisition order)"
+        self.reset(
+            worms,
+            ResilienceConfig {
+                policy,
+                ..ResilienceConfig::default()
+            },
         );
+        self.drive(worms);
         RouteSimResult {
             completions: std::mem::take(&mut self.completions),
             finished_at: self.finished_at,
-            payload_bytes: self.payload_bytes,
+            payload_bytes: self.stats.delivered_bytes,
             peak_inflight: self.peak_inflight,
             conflicts: self.crossbars.iter().map(Crossbar::conflicts).sum(),
             detours: self.detours,
         }
     }
 
-    fn reset(&mut self, worms: &[Worm]) {
-        for xb in &mut self.crossbars {
-            xb.reset();
-        }
-        self.arena.clear();
-        self.states.clear();
-        self.states.resize(
-            worms.len(),
-            WormState {
-                span_start: 0,
-                span_len: 0,
-                acquired: 0,
-                head_at: Time::ZERO,
-            },
-        );
-        self.waiters.iter_mut().for_each(VecDeque::clear);
-        self.src_queue.iter_mut().for_each(VecDeque::clear);
-        self.src_busy.iter_mut().for_each(|b| *b = false);
-        self.queue.clear();
-        self.order.clear();
-        self.order.extend(0..worms.len());
-        // Stable: simultaneous injections keep supplied order.
-        self.order.sort_by_key(|&i| worms[i].inject_at);
-        self.completions = vec![Time::ZERO; worms.len()];
-        self.finished_at = Time::ZERO;
-        self.payload_bytes = 0;
-        self.inflight = 0;
-        self.peak_inflight = 0;
-        self.detours = 0;
-    }
-
-    /// Starts the next queued worm at source `src`, if any: picks its
-    /// route per `policy` and begins acquiring ports.
-    fn start_next(&mut self, worms: &[Worm], src: NodeId, now: Time, policy: RoutePolicy) {
-        let Some(&w) = self.src_queue[src].front() else {
-            return;
-        };
-        self.src_queue[src].pop_front();
-        self.src_busy[src] = true;
-        let worm = worms[w];
-        self.enumerate_candidates(worm.src, worm.dst, worm.plane);
-        let (cstart, clen) = self.choose(policy);
-        let span_start = self.arena.len();
-        self.arena
-            .extend_from_slice(&self.cand_hops[cstart..cstart + clen]);
-        self.states[w] = WormState {
-            span_start,
-            span_len: clen,
-            acquired: 0,
-            head_at: now.max(worm.inject_at),
-        };
-        self.advance(worms, w);
-    }
-
-    /// Acquires output ports hop by hop from the worm's current
-    /// position. Blocks (registers as a waiter, keeping earlier hops
-    /// held) at the first held output; schedules completion after the
-    /// last.
-    fn advance(&mut self, worms: &[Worm], w: usize) {
-        let mut st = self.states[w];
-        while st.acquired < st.span_len {
-            let h = self.arena[st.span_start + st.acquired];
-            // The route byte serialises over the incoming link first.
-            let want = st.head_at + self.byte_time;
-            if self.crossbars[h.xbar].is_held(h.out_port) {
-                st.head_at = want;
-                self.states[w] = st;
-                self.waiters[self.port_base[h.xbar] + h.out_port as usize].push_back(w);
-                return;
-            }
-            let grant = self.crossbars[h.xbar].route(h.in_port, h.out_port, want);
-            st.head_at = grant.established;
-            st.acquired += 1;
-        }
-        self.states[w] = st;
-        self.inflight += 1;
-        self.peak_inflight = self.peak_inflight.max(self.inflight);
-        // Cut-through: payload + close byte stream at link rate behind
-        // the established head.
-        let payload = worms[w].payload;
-        let done = st.head_at + self.byte_time * (u64::from(payload) + 1);
-        self.completions[w] = done;
-        self.finished_at = self.finished_at.max(done);
-        self.payload_bytes += u64::from(payload);
-        self.queue.schedule(done, w);
-    }
-
-    /// Tears down a completed worm: the close byte trails through the
-    /// route releasing each output in order, waking the longest-blocked
-    /// waiter per freed port; the source link interface frees for the
-    /// next queued worm.
-    fn on_done(&mut self, worms: &[Worm], w: usize, now: Time, policy: RoutePolicy) {
-        let st = self.states[w];
-        let mut close_at = now;
-        for k in 0..st.span_len {
-            let h = self.arena[st.span_start + k];
-            self.crossbars[h.xbar].close(h.out_port, close_at);
-            let port = self.port_base[h.xbar] + h.out_port as usize;
-            if let Some(waiter) = self.waiters[port].pop_front() {
-                let ws = self.states[waiter];
-                let wh = self.arena[ws.span_start + ws.acquired];
-                // The waiter asked at its `head_at`; the wait until this
-                // close is what the crossbar conflict counters record.
-                let grant = self.crossbars[wh.xbar].route(wh.in_port, wh.out_port, ws.head_at);
-                self.states[waiter].head_at = grant.established;
-                self.states[waiter].acquired += 1;
-                self.advance(worms, waiter);
-            }
-            close_at += self.byte_time;
-        }
-        self.inflight -= 1;
-        let src = worms[w].src;
-        self.src_busy[src] = false;
-        self.start_next(worms, src, now, policy);
-    }
-
-    // ------------------------------------------------------------------
-    // Resilient run loop: faults, online health, retransmission, and the
-    // progress watchdog.
-    // ------------------------------------------------------------------
-
     /// Simulates `worms` under `plan`'s faults with retransmission and
     /// — in [`FailoverMode::Detected`] — purely symptom-driven
     /// route-around: the fault schedule only moves physical link state;
     /// route selection sees it exclusively through the per-source
-    /// [`HealthTable`]s.
+    /// [`HealthTable`]s. This is [`RouteSim::run`]'s loop with the
+    /// fault layer armed.
     ///
-    /// Returns [`FaultPlanError::UnknownLink`] if the plan names a link
-    /// this topology lacks (application-time validation).
+    /// # Errors
+    ///
+    /// [`FaultPlanError::ZeroScanPeriod`] or
+    /// [`FaultPlanError::ZeroAttempts`] if `cfg` would reschedule the
+    /// watchdog at the same instant forever or never transmit;
+    /// [`FaultPlanError::UnknownLink`] if the plan names a link this
+    /// topology lacks (application-time validation).
     ///
     /// # Panics
     ///
@@ -949,27 +825,15 @@ impl RouteSim {
         plan: &FaultPlan,
         cfg: &ResilienceConfig,
     ) -> Result<ResilientResult, FaultPlanError> {
-        self.reset(worms);
-        self.reset_resilient(worms, plan, cfg)?;
-        let mut cursor = 0;
-        while cursor < self.order.len() {
-            let at = worms[self.order[cursor]].inject_at;
-            if let Some((now, ev)) = self.revents.pop_if_before(at) {
-                self.on_revent(worms, ev, now, cfg);
-            } else {
-                let w = self.order[cursor];
-                cursor += 1;
-                let src = worms[w].src;
-                self.src_queue[src].push_back(w);
-                if !self.src_busy[src] {
-                    self.start_next_r(worms, src, at, cfg);
-                }
-            }
+        if cfg.watchdog.scan_period == Duration::ZERO {
+            return Err(FaultPlanError::ZeroScanPeriod);
         }
-        while let Some((now, ev)) = self.revents.pop() {
-            self.on_revent(worms, ev, now, cfg);
+        if cfg.retry.max_attempts == 0 {
+            return Err(FaultPlanError::ZeroAttempts);
         }
-        assert_eq!(self.live, 0, "resilient run left worms unresolved");
+        self.reset(worms, *cfg);
+        self.arm(worms, plan)?;
+        self.drive(worms);
         let outcomes = worms
             .iter()
             .enumerate()
@@ -1004,20 +868,43 @@ impl RouteSim {
             peak_inflight: self.peak_inflight,
             conflicts: self.crossbars.iter().map(Crossbar::conflicts).sum(),
             detours: self.detours,
-            stats: self.rstats,
+            stats: self.stats,
         })
     }
 
-    /// Validates and resolves the fault plan, then arms the resilient
-    /// pools: per-worm bookkeeping, health tables, the event heap
-    /// (fault schedule + first watchdog scan), and the transient
-    /// injector.
-    fn reset_resilient(
-        &mut self,
-        worms: &[Worm],
-        plan: &FaultPlan,
-        cfg: &ResilienceConfig,
-    ) -> Result<(), FaultPlanError> {
+    /// Clears the pooled per-run state for `worms` under `cfg`, with
+    /// the fault layer disarmed.
+    fn reset(&mut self, worms: &[Worm], cfg: ResilienceConfig) {
+        self.cfg = cfg;
+        self.armed = false;
+        for xb in &mut self.crossbars {
+            xb.reset();
+        }
+        self.arena.clear();
+        self.states.clear();
+        self.states.resize(worms.len(), WormState::default());
+        self.waiters.iter_mut().for_each(VecDeque::clear);
+        self.src_queue.iter_mut().for_each(VecDeque::clear);
+        self.src_busy.iter_mut().for_each(|b| *b = false);
+        self.events.clear();
+        self.order.clear();
+        self.order.extend(0..worms.len());
+        // Stable: simultaneous injections keep supplied order.
+        self.order.sort_by_key(|&i| worms[i].inject_at);
+        self.completions = vec![Time::ZERO; worms.len()];
+        self.finished_at = Time::ZERO;
+        self.inflight = 0;
+        self.peak_inflight = 0;
+        self.detours = 0;
+        self.live = worms.len();
+        self.stats = ResilienceStats::default();
+    }
+
+    /// Arms the fault layer for one resilient run: resolves the plan
+    /// against the compiled topology, schedules its deaths and repairs
+    /// plus the first watchdog scan, and clears the per-worm
+    /// bookkeeping, health tables and transient injector.
+    fn arm(&mut self, worms: &[Worm], plan: &FaultPlan) -> Result<(), FaultPlanError> {
         self.fault_sched.clear();
         for d in plan.schedule() {
             let key = self
@@ -1034,32 +921,60 @@ impl RouteSim {
         // Stable: a death and repair at the same instant apply in
         // schedule order (deaths first), deterministically.
         self.fault_sched.sort_by_key(|&(at, _, _)| at);
-        self.revents.clear();
         let sched = &self.fault_sched;
-        self.revents.schedule_batch(
+        self.events.schedule_batch(
             sched
                 .iter()
                 .enumerate()
-                .map(|(i, &(at, _, _))| (at, REvent::Fault(i))),
+                .map(|(i, &(at, _, _))| (at, Event::Fault(i))),
         );
         self.rstates.clear();
-        self.rstates.resize(worms.len(), RWorm::IDLE);
+        self.rstates.resize(worms.len(), RWorm::default());
         self.link_arena.clear();
         self.dead.clear();
         self.orphans.clear();
         self.health.iter_mut().for_each(HealthTable::clear);
         self.injector = Some(TransientInjector::new(plan));
-        self.live = worms.len();
-        self.rstats = ResilienceStats {
-            offered: worms.len() as u64,
-            offered_bytes: worms.iter().map(|w| u64::from(w.payload)).sum(),
-            ..ResilienceStats::default()
-        };
+        self.stats.offered = worms.len() as u64;
+        self.stats.offered_bytes = worms.iter().map(|w| u64::from(w.payload)).sum();
         if self.live > 0 {
-            self.revents
-                .schedule(Time::ZERO + cfg.watchdog.scan_period, REvent::Scan);
+            self.events
+                .schedule(Time::ZERO + self.cfg.watchdog.scan_period, Event::Scan);
         }
+        self.armed = true;
         Ok(())
+    }
+
+    /// The run loop: merges the sorted arrival cursor against the event
+    /// heap until every worm is terminal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worm never reaches a terminal state (wormhole
+    /// deadlock: a cyclic port acquisition order).
+    fn drive(&mut self, worms: &[Worm]) {
+        let mut cursor = 0;
+        while cursor < self.order.len() {
+            let at = worms[self.order[cursor]].inject_at;
+            if let Some((now, ev)) = self.events.pop_if_before(at) {
+                self.on_event(worms, ev, now);
+            } else {
+                let w = self.order[cursor];
+                cursor += 1;
+                let src = worms[w].src;
+                self.src_queue[src].push_back(w);
+                if !self.src_busy[src] {
+                    self.start_queued(worms, src, at);
+                }
+            }
+        }
+        while let Some((now, ev)) = self.events.pop() {
+            self.on_event(worms, ev, now);
+        }
+        assert_eq!(
+            self.live, 0,
+            "wormhole deadlock: a worm never completed (cyclic port acquisition order)"
+        );
     }
 
     /// The health table `src` learned during the last resilient run.
@@ -1098,112 +1013,103 @@ impl RouteSim {
         }
     }
 
-    fn on_revent(&mut self, worms: &[Worm], ev: REvent, now: Time, cfg: &ResilienceConfig) {
+    fn on_event(&mut self, worms: &[Worm], ev: Event, now: Time) {
         match ev {
-            REvent::Done(w) => self.on_done_r(worms, w, now, cfg),
-            REvent::Retry(w) => {
+            Event::Done(w) => self.on_complete(worms, w, now),
+            Event::Retry(w) => {
                 if self.rstates[w].phase == RPhase::Backoff {
-                    self.start_attempt(worms, w, now, cfg);
+                    self.start_attempt(worms, w, now);
                 }
             }
-            REvent::Fault(i) => {
+            Event::Fault(i) => {
                 let (_, change, key) = self.fault_sched[i];
-                self.apply_fault(worms, change, key, now, cfg);
+                self.apply_fault(worms, change, key, now);
             }
-            REvent::Scan => self.watchdog_scan(worms, now, cfg),
+            Event::Scan => self.watchdog_scan(worms, now),
         }
     }
 
     /// Starts the next queued worm at source `src`, if any.
-    fn start_next_r(&mut self, worms: &[Worm], src: NodeId, now: Time, cfg: &ResilienceConfig) {
-        let Some(&w) = self.src_queue[src].front() else {
+    fn start_queued(&mut self, worms: &[Worm], src: NodeId, now: Time) {
+        let Some(w) = self.src_queue[src].pop_front() else {
             return;
         };
-        self.src_queue[src].pop_front();
         self.src_busy[src] = true;
-        self.start_attempt(worms, w, now.max(worms[w].inject_at), cfg);
+        self.start_attempt(worms, w, now.max(worms[w].inject_at));
     }
 
-    /// Begins one transmission attempt: pick a route the failover mode
-    /// permits, stamp the link span, and start acquiring ports. With no
-    /// permissible route (oracle view: everything dead), the attempt is
-    /// spent and the worm backs off — a repair may land meanwhile.
-    fn start_attempt(&mut self, worms: &[Worm], w: usize, now: Time, cfg: &ResilienceConfig) {
+    /// Begins one transmission attempt: pick a route, copy its hops into
+    /// the arena, and start acquiring ports. Armed, the pick is one the
+    /// failover mode permits and the attempt stamps its link span; with
+    /// no permissible route (oracle view: everything dead), the attempt
+    /// is spent and the worm backs off — a repair may land meanwhile.
+    fn start_attempt(&mut self, worms: &[Worm], w: usize, now: Time) {
         let worm = worms[w];
-        self.rstates[w].attempts += 1;
-        self.rstats.transmissions += 1;
-        self.rstates[w].started_at = now;
-        match self.pick_route(worm, now, cfg) {
-            Some(pick) => {
-                let span_start = self.arena.len();
-                self.arena
-                    .extend_from_slice(&self.cand_hops[pick.start..pick.start + pick.len]);
-                let lstart = self.link_arena.len();
-                self.link_arena
-                    .extend_from_slice(&pick.links[..pick.len + 1]);
-                if pick.forced_reprobe {
-                    self.rstats.forced_reprobes += 1;
-                }
-                let rs = &mut self.rstates[w];
-                rs.plane = pick.plane;
-                rs.failed_over |= pick.plane != worm.plane;
-                rs.rerouted |= pick.index != 0 || pick.plane != worm.plane;
-                rs.lstart = lstart;
-                rs.nlinks = pick.len + 1;
-                rs.phase = RPhase::Blocked;
-                self.states[w] = WormState {
-                    span_start,
-                    span_len: pick.len,
-                    acquired: 0,
-                    head_at: now,
-                };
-                self.advance_r(worms, w, cfg);
-            }
-            None => self.retry_or_drop(worms, w, now, cfg),
+        if self.armed {
+            self.rstates[w].attempts += 1;
+            self.rstates[w].started_at = now;
+            self.stats.transmissions += 1;
         }
+        let Some(pick) = self.pick_route(worm, now) else {
+            self.retry_or_drop(worms, w, now);
+            return;
+        };
+        let (start, len) = self.cand_spans[pick.index];
+        let span_start = self.arena.len();
+        self.arena
+            .extend_from_slice(&self.cand_hops[start..start + len]);
+        if self.armed {
+            let mut links = [(0usize, 0u32); 4];
+            let nlinks = hop_links(&self.cand_hops[start..start + len], &mut links);
+            let lstart = self.link_arena.len();
+            self.link_arena.extend_from_slice(&links[..nlinks]);
+            self.stats.forced_reprobes += u64::from(pick.forced_reprobe);
+            let rs = &mut self.rstates[w];
+            rs.plane = pick.plane;
+            rs.failed_over |= pick.plane != worm.plane;
+            rs.rerouted |= pick.index != 0 || pick.plane != worm.plane;
+            rs.lstart = lstart;
+            rs.nlinks = nlinks;
+            rs.phase = RPhase::Blocked;
+        }
+        self.states[w] = WormState {
+            span_start,
+            span_len: len,
+            acquired: 0,
+            head_at: now,
+        };
+        self.acquire(worms, w);
     }
 
-    /// Picks a route for one attempt. Tries the preferred plane then
-    /// the other; on each, candidates whose links the failover mode
-    /// considers bad are filtered before the policy chooses. In
-    /// detected mode, if every candidate on both planes is quarantined,
-    /// the pick is forced onto the candidate whose worst quarantine
-    /// lapses soonest (a deliberate re-probe — without it a source
-    /// whose whole view went dark could never recover).
-    fn pick_route(&mut self, worm: Worm, now: Time, cfg: &ResilienceConfig) -> Option<Pick> {
+    /// Picks a route for one attempt; the chosen span is
+    /// `cand_spans[pick.index]`. Disarmed, every candidate on the
+    /// worm's own plane is eligible. Armed, it tries the preferred
+    /// plane then the other; on each, candidates whose links the
+    /// failover mode considers bad are filtered before the policy
+    /// chooses. In detected mode, if every candidate on both planes is
+    /// quarantined, the pick is forced onto the candidate whose worst
+    /// quarantine lapses soonest (a deliberate re-probe — without it a
+    /// source whose whole view went dark could never recover).
+    fn pick_route(&mut self, worm: Worm, now: Time) -> Option<Pick> {
         let planes = [worm.plane, 1 - worm.plane];
-        for &plane in &planes {
+        let tried = if self.armed { 2 } else { 1 };
+        for &plane in &planes[..tried] {
             self.enumerate_candidates(worm.src, worm.dst, plane);
             self.cand_ok.clear();
-            let mut links = [(0usize, 0u32); 4];
-            for (i, &(start, len)) in self.cand_spans.iter().enumerate() {
-                let n = hop_links(&self.cand_hops[start..start + len], &mut links);
-                let bad = match cfg.failover {
-                    FailoverMode::Oracle => links[..n].iter().any(|k| self.dead.contains(k)),
-                    FailoverMode::Detected => {
-                        let ht = &self.health[worm.src];
-                        links[..n].iter().any(|&k| ht.is_quarantined(k, now))
-                    }
-                };
-                if !bad {
+            for i in 0..self.cand_spans.len() {
+                if !(self.armed && self.suspect(worm.src, i, now)) {
                     self.cand_ok.push(i);
                 }
             }
-            if let Some(index) = self.choose_ok(cfg.policy) {
-                let (start, len) = self.cand_spans[index];
-                let mut links = [(0usize, 0u32); 4];
-                hop_links(&self.cand_hops[start..start + len], &mut links);
+            if let Some(index) = self.choose_candidate() {
                 return Some(Pick {
-                    start,
-                    len,
-                    links,
                     plane,
                     index,
                     forced_reprobe: false,
                 });
             }
         }
-        if cfg.failover != FailoverMode::Detected {
+        if self.cfg.failover != FailoverMode::Detected {
             return None;
         }
         // Forced re-probe: everything this source knows is quarantined.
@@ -1227,156 +1133,133 @@ impl RouteSim {
         let (_, rank, index) = best?;
         let plane = planes[rank];
         self.enumerate_candidates(worm.src, worm.dst, plane);
-        let (start, len) = self.cand_spans[index];
-        let mut links = [(0usize, 0u32); 4];
-        hop_links(&self.cand_hops[start..start + len], &mut links);
         Some(Pick {
-            start,
-            len,
-            links,
             plane,
             index,
             forced_reprobe: true,
         })
     }
 
-    /// Chooses among the healthy candidates in `cand_ok` per `policy`
-    /// (same ranking as [`RouteSim::choose`], restricted to the healthy
-    /// subset). `None` if no candidate survived the health filter.
-    fn choose_ok(&mut self, policy: RoutePolicy) -> Option<usize> {
-        match policy {
-            RoutePolicy::Oblivious => self.cand_ok.first().copied(),
-            RoutePolicy::Adaptive => {
-                let mut best: Option<(usize, u64, usize)> = None;
-                for &i in &self.cand_ok {
-                    let (start, len) = self.cand_spans[i];
-                    let mut held = 0usize;
-                    let mut conflicts = 0u64;
-                    for h in &self.cand_hops[start..start + len] {
-                        let xb = &self.crossbars[h.xbar];
-                        held += usize::from(xb.is_held(h.out_port));
-                        conflicts += xb.port_conflicts(h.out_port);
-                    }
-                    let key = (held, conflicts, i);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
-                }
-                let (_, _, i) = best?;
-                if i != 0 {
-                    self.detours += 1;
-                }
-                Some(i)
-            }
+    /// Whether candidate `i` crosses a link the failover mode considers
+    /// bad for `src`: physically dead (oracle) or quarantined in the
+    /// source's own health table (detected).
+    fn suspect(&self, src: NodeId, i: usize, now: Time) -> bool {
+        let (start, len) = self.cand_spans[i];
+        let mut links = [(0usize, 0u32); 4];
+        let n = hop_links(&self.cand_hops[start..start + len], &mut links);
+        match self.cfg.failover {
+            FailoverMode::Oracle => links[..n].iter().any(|k| self.dead.contains(k)),
+            FailoverMode::Detected => links[..n]
+                .iter()
+                .any(|&k| self.health[src].is_quarantined(k, now)),
         }
     }
 
-    /// Resilient port acquisition: like [`RouteSim::advance`], but every
-    /// link is checked against the physical dead set before the route
-    /// byte crosses it — a dead cable swallows the byte and the open
-    /// times out at the source (this is *physics*, identical in both
-    /// failover modes; only route *choice* differs between them).
-    fn advance_r(&mut self, worms: &[Worm], w: usize, cfg: &ResilienceConfig) {
+    /// Acquires output ports hop by hop from the worm's current
+    /// position. Blocks (registers as a waiter, keeping earlier hops
+    /// held) at the first held output; schedules completion after the
+    /// last. Armed, every link is checked against the physical dead set
+    /// before the route byte crosses it — a dead cable swallows the
+    /// byte and the open times out at the source (this is *physics*,
+    /// identical in both failover modes; only route *choice* differs
+    /// between them).
+    fn acquire(&mut self, worms: &[Worm], w: usize) {
         let mut st = self.states[w];
-        let lstart = self.rstates[w].lstart;
+        let lstart = if self.armed {
+            self.rstates[w].lstart
+        } else {
+            0
+        };
         while st.acquired < st.span_len {
-            let in_key = self.link_arena[lstart + st.acquired];
+            // The route byte serialises over the incoming link first.
             let want = st.head_at + self.byte_time;
-            if self.dead.contains(&in_key) {
-                self.states[w] = st;
-                self.fail_open(worms, w, in_key, want + cfg.open_timeout, cfg);
-                return;
+            if self.armed {
+                let in_key = self.link_arena[lstart + st.acquired];
+                if self.dead.contains(&in_key) {
+                    self.states[w] = st;
+                    self.fail_open(worms, w, in_key, want + self.cfg.open_timeout);
+                    return;
+                }
             }
             let h = self.arena[st.span_start + st.acquired];
             if self.crossbars[h.xbar].is_held(h.out_port) {
                 st.head_at = want;
                 self.states[w] = st;
-                self.rstates[w].phase = RPhase::Blocked;
                 self.waiters[self.port_base[h.xbar] + h.out_port as usize].push_back(w);
                 return;
             }
             let grant = self.crossbars[h.xbar].route(h.in_port, h.out_port, want);
             st.head_at = grant.established;
             st.acquired += 1;
-            self.rstates[w].epoch += 1;
-        }
-        // Full route held: the final link into the destination node must
-        // also be up before the payload can stream.
-        let out_key = self.link_arena[lstart + st.span_len];
-        if self.dead.contains(&out_key) {
-            self.states[w] = st;
-            self.fail_open(
-                worms,
-                w,
-                out_key,
-                st.head_at + self.byte_time + cfg.open_timeout,
-                cfg,
-            );
-            return;
+            if self.armed {
+                self.rstates[w].epoch += 1;
+            }
         }
         self.states[w] = st;
-        self.rstates[w].phase = RPhase::Streaming;
+        if self.armed {
+            // Full route held: the final link into the destination node
+            // must also be up before the payload can stream.
+            let out_key = self.link_arena[lstart + st.span_len];
+            if self.dead.contains(&out_key) {
+                let detect_at = st.head_at + self.byte_time + self.cfg.open_timeout;
+                self.fail_open(worms, w, out_key, detect_at);
+                return;
+            }
+        }
         self.inflight += 1;
         self.peak_inflight = self.peak_inflight.max(self.inflight);
+        // Cut-through: payload + close byte stream at link rate behind
+        // the established head.
         let done = st.head_at + self.byte_time * (u64::from(worms[w].payload) + 1);
-        self.rstates[w].done_at = done;
-        self.revents.schedule(done, REvent::Done(w));
+        if self.armed {
+            self.rstates[w].phase = RPhase::Streaming;
+            self.rstates[w].done_at = done;
+        }
+        self.events.schedule(done, Event::Done(w));
     }
 
     /// An open failed: the route byte vanished into `key` and the
     /// source's open timeout lapsed at `detect_at`. Tear down the
     /// partial route, record the symptom, retry.
-    fn fail_open(
-        &mut self,
-        worms: &[Worm],
-        w: usize,
-        key: LinkKey,
-        detect_at: Time,
-        cfg: &ResilienceConfig,
-    ) {
-        self.rstats.failed_opens += 1;
+    fn fail_open(&mut self, worms: &[Worm], w: usize, key: LinkKey, detect_at: Time) {
+        self.stats.failed_opens += 1;
         self.rstates[w].phase = RPhase::Backoff;
         let acquired = self.states[w].acquired;
-        self.release_span(worms, w, 0, acquired, detect_at, cfg);
-        self.learn_failure(worms[w].src, key, detect_at, cfg);
-        self.retry_or_drop(worms, w, detect_at, cfg);
+        self.release_span(worms, w, 0, acquired, detect_at);
+        self.learn_failure(worms[w].src, key, detect_at);
+        self.retry_or_drop(worms, w, detect_at);
     }
 
     /// Records a failure symptom in the source's health table (detected
     /// mode only — the oracle needs no ledger).
-    fn learn_failure(&mut self, src: NodeId, key: LinkKey, at: Time, cfg: &ResilienceConfig) {
-        if cfg.failover != FailoverMode::Detected {
+    fn learn_failure(&mut self, src: NodeId, key: LinkKey, at: Time) {
+        if self.cfg.failover != FailoverMode::Detected {
             return;
         }
-        if self.health[src].record_failure(key, at, &cfg.health) {
-            self.rstats.quarantines += 1;
+        if self.health[src].record_failure(key, at, &self.cfg.health) {
+            self.stats.quarantines += 1;
         }
     }
 
     /// Releases hops `from..upto` of `w`'s span: close each output in
     /// order (staggered one byte time apart, like a close byte trailing
     /// through) and wake the longest-blocked waiter per freed port.
-    fn release_span(
-        &mut self,
-        worms: &[Worm],
-        w: usize,
-        from: usize,
-        upto: usize,
-        mut close_at: Time,
-        cfg: &ResilienceConfig,
-    ) {
+    fn release_span(&mut self, worms: &[Worm], w: usize, from: usize, upto: usize, at: Time) {
         let st = self.states[w];
+        let mut close_at = at;
         for k in from..upto {
             let h = self.arena[st.span_start + k];
             self.crossbars[h.xbar].close(h.out_port, close_at);
-            self.wake_waiter(worms, h.xbar, h.out_port, cfg);
+            self.wake_waiter(worms, h.xbar, h.out_port);
             close_at += self.byte_time;
         }
     }
 
     /// Grants a freed port to its longest-blocked waiter, if any, and
-    /// lets that worm continue acquiring.
-    fn wake_waiter(&mut self, worms: &[Worm], xbar: usize, out_port: u32, cfg: &ResilienceConfig) {
+    /// lets that worm continue acquiring. The waiter asked at its
+    /// `head_at`; the wait until this close is what the crossbar
+    /// conflict counters record.
+    fn wake_waiter(&mut self, worms: &[Worm], xbar: usize, out_port: u32) {
         let port = self.port_base[xbar] + out_port as usize;
         let Some(waiter) = self.waiters[port].pop_front() else {
             return;
@@ -1386,35 +1269,39 @@ impl RouteSim {
         let grant = self.crossbars[wh.xbar].route(wh.in_port, wh.out_port, ws.head_at);
         self.states[waiter].head_at = grant.established;
         self.states[waiter].acquired += 1;
-        self.rstates[waiter].epoch += 1;
-        self.advance_r(worms, waiter, cfg);
+        if self.armed {
+            self.rstates[waiter].epoch += 1;
+        }
+        self.acquire(worms, waiter);
     }
 
     /// Spends the failed attempt: schedule a jittered-backoff retry, or
     /// drop the worm if its attempts are exhausted (freeing the source
     /// interface for its next queued worm).
-    fn retry_or_drop(&mut self, worms: &[Worm], w: usize, now: Time, cfg: &ResilienceConfig) {
-        if self.rstates[w].attempts >= cfg.retry.max_attempts {
+    fn retry_or_drop(&mut self, worms: &[Worm], w: usize, now: Time) {
+        if self.rstates[w].attempts >= self.cfg.retry.max_attempts {
             self.rstates[w].phase = RPhase::Dropped;
-            self.rstats.dropped += 1;
-            self.rstats.dropped_bytes += u64::from(worms[w].payload);
+            self.stats.dropped += 1;
+            self.stats.dropped_bytes += u64::from(worms[w].payload);
             self.live -= 1;
             let src = worms[w].src;
             self.src_busy[src] = false;
-            self.start_next_r(worms, src, now, cfg);
+            self.start_queued(worms, src, now);
         } else {
             self.rstates[w].phase = RPhase::Backoff;
-            let gap = cfg.retry.gap_after(w as u64, self.rstates[w].attempts);
-            self.revents.schedule(now + gap, REvent::Retry(w));
+            let gap = self.cfg.retry.gap_after(w as u64, self.rstates[w].attempts);
+            self.events.schedule(now + gap, Event::Retry(w));
         }
     }
 
-    /// A streaming worm's completion event fired. Stale events (the
-    /// attempt was severed meanwhile) are recognised and ignored. The
-    /// CRC trailer is checked at the destination: transient corruption
-    /// rejects the delivery and the source retransmits.
-    fn on_done_r(&mut self, worms: &[Worm], w: usize, now: Time, cfg: &ResilienceConfig) {
-        {
+    /// A streaming worm's last byte reached the destination: the close
+    /// byte trails through the route releasing each output in order,
+    /// and the source link interface frees for its next queued worm.
+    /// Armed, stale events (the attempt was severed meanwhile) are
+    /// ignored, and the destination checks the CRC trailer: transient
+    /// corruption rejects the delivery and the source retransmits.
+    fn on_complete(&mut self, worms: &[Worm], w: usize, now: Time) {
+        if self.armed {
             let rs = &self.rstates[w];
             if rs.phase != RPhase::Streaming || rs.done_at != now {
                 return;
@@ -1422,59 +1309,52 @@ impl RouteSim {
         }
         self.inflight -= 1;
         let span_len = self.states[w].span_len;
-        self.release_span(worms, w, 0, span_len, now, cfg);
+        self.release_span(worms, w, 0, span_len, now);
         let payload = worms[w].payload;
-        let corrupted = self
-            .injector
-            .as_mut()
-            .expect("resilient run armed the injector")
-            .draw(payload as usize)
-            .is_some();
-        if corrupted {
-            self.rstates[w].crc_failures += 1;
-            self.rstates[w].phase = RPhase::Backoff;
-            self.rstats.corrupted += 1;
-            self.retry_or_drop(worms, w, now, cfg);
-            return;
-        }
-        self.rstates[w].phase = RPhase::Delivered;
-        self.completions[w] = now;
-        self.finished_at = self.finished_at.max(now);
-        self.rstats.delivered += 1;
-        self.rstats.delivered_bytes += u64::from(payload);
-        self.live -= 1;
-        if cfg.failover == FailoverMode::Detected {
-            // A delivery is positive evidence for every link it crossed:
-            // lapsed-quarantine re-probes get reinstated here.
-            let (lstart, nlinks) = (self.rstates[w].lstart, self.rstates[w].nlinks);
-            let src = worms[w].src;
-            for j in 0..nlinks {
-                let key = self.link_arena[lstart + j];
-                if self.health[src].record_success(key) {
-                    self.rstats.reinstatements += 1;
+        let src = worms[w].src;
+        if self.armed {
+            let corrupted = self
+                .injector
+                .as_mut()
+                .expect("armed runs carry an injector")
+                .draw(payload as usize)
+                .is_some();
+            if corrupted {
+                self.rstates[w].crc_failures += 1;
+                self.rstates[w].phase = RPhase::Backoff;
+                self.stats.corrupted += 1;
+                self.retry_or_drop(worms, w, now);
+                return;
+            }
+            self.rstates[w].phase = RPhase::Delivered;
+            if self.cfg.failover == FailoverMode::Detected {
+                // A delivery is positive evidence for every link it
+                // crossed: lapsed-quarantine re-probes get reinstated.
+                let (lstart, nlinks) = (self.rstates[w].lstart, self.rstates[w].nlinks);
+                for &key in &self.link_arena[lstart..lstart + nlinks] {
+                    if self.health[src].record_success(key) {
+                        self.stats.reinstatements += 1;
+                    }
                 }
             }
         }
-        let src = worms[w].src;
+        self.completions[w] = now;
+        self.finished_at = self.finished_at.max(now);
+        self.stats.delivered += 1;
+        self.stats.delivered_bytes += u64::from(payload);
+        self.live -= 1;
         self.src_busy[src] = false;
-        self.start_next_r(worms, src, now, cfg);
+        self.start_queued(worms, src, now);
     }
 
     /// Applies a scheduled physical link-state change. A death severs
     /// every worm whose occupied span crosses the link.
-    fn apply_fault(
-        &mut self,
-        worms: &[Worm],
-        change: FaultChange,
-        key: LinkKey,
-        now: Time,
-        cfg: &ResilienceConfig,
-    ) {
+    fn apply_fault(&mut self, worms: &[Worm], change: FaultChange, key: LinkKey, now: Time) {
         match change {
             FaultChange::Up => {
                 if let Some(i) = self.dead.iter().position(|&k| k == key) {
                     self.dead.swap_remove(i);
-                    self.rstats.repairs += 1;
+                    self.stats.repairs += 1;
                 }
             }
             FaultChange::Down => {
@@ -1482,7 +1362,7 @@ impl RouteSim {
                     return;
                 }
                 self.dead.push(key);
-                self.rstats.link_downs += 1;
+                self.stats.link_downs += 1;
                 for w in 0..worms.len() {
                     let (phase, lstart, nlinks) = {
                         let rs = &self.rstates[w];
@@ -1501,7 +1381,7 @@ impl RouteSim {
                     else {
                         continue;
                     };
-                    self.sever(worms, w, cut, now, cfg);
+                    self.sever(worms, w, cut, now);
                 }
             }
         }
@@ -1512,9 +1392,9 @@ impl RouteSim {
     /// unreachable — their ports stay held (orphaned) until the
     /// watchdog's port timeout reclaims them. The source only learns of
     /// the loss when its delivery timeout lapses.
-    fn sever(&mut self, worms: &[Worm], w: usize, cut: usize, now: Time, cfg: &ResilienceConfig) {
+    fn sever(&mut self, worms: &[Worm], w: usize, cut: usize, now: Time) {
         let st = self.states[w];
-        self.rstats.severed += 1;
+        self.stats.severed += 1;
         self.rstates[w].severed += 1;
         let held = match self.rstates[w].phase {
             RPhase::Streaming => {
@@ -1522,31 +1402,33 @@ impl RouteSim {
                 st.span_len
             }
             RPhase::Blocked => {
-                // Leave the waiter queue it sits in.
-                let h = self.arena[st.span_start + st.acquired];
-                let port = self.port_base[h.xbar] + h.out_port as usize;
-                if let Some(pos) = self.waiters[port].iter().position(|&x| x == w) {
-                    self.waiters[port].remove(pos);
-                }
+                self.leave_waiter_queue(w);
                 st.acquired
             }
             phase => unreachable!("severing a worm in phase {phase:?}"),
         };
         self.rstates[w].phase = RPhase::Backoff;
         let reachable = cut.min(held);
-        self.release_span(worms, w, 0, reachable, now, cfg);
+        self.release_span(worms, w, 0, reachable, now);
         for k in reachable..held {
             let h = self.arena[st.span_start + k];
             self.orphans.push((h.xbar, h.out_port));
         }
-        let detect_at = now + cfg.sever_timeout;
-        self.learn_failure(
-            worms[w].src,
-            self.link_arena[self.rstates[w].lstart + cut],
-            detect_at,
-            cfg,
-        );
-        self.retry_or_drop(worms, w, detect_at, cfg);
+        let detect_at = now + self.cfg.sever_timeout;
+        let key = self.link_arena[self.rstates[w].lstart + cut];
+        self.learn_failure(worms[w].src, key, detect_at);
+        self.retry_or_drop(worms, w, detect_at);
+    }
+
+    /// Removes blocked worm `w` from the waiter queue of the port it is
+    /// asking for.
+    fn leave_waiter_queue(&mut self, w: usize) {
+        let st = self.states[w];
+        let h = self.arena[st.span_start + st.acquired];
+        let port = self.port_base[h.xbar] + h.out_port as usize;
+        if let Some(pos) = self.waiters[port].iter().position(|&x| x == w) {
+            self.waiters[port].remove(pos);
+        }
     }
 
     /// One watchdog scan: reclaim every orphaned port (the hardware
@@ -1555,12 +1437,12 @@ impl RouteSim {
     /// since the previous scan and whose wait exceeds the threshold.
     /// Killing the youngest frees the resources the oldest (closest to
     /// done) are waiting on without sacrificing their progress.
-    fn watchdog_scan(&mut self, worms: &[Worm], now: Time, cfg: &ResilienceConfig) {
-        self.rstats.scans += 1;
+    fn watchdog_scan(&mut self, worms: &[Worm], now: Time) {
+        self.stats.scans += 1;
         while let Some((xbar, port)) = self.orphans.pop() {
             self.crossbars[xbar].close(port, now);
-            self.rstats.orphan_reclaims += 1;
-            self.wake_waiter(worms, xbar, port, cfg);
+            self.stats.orphan_reclaims += 1;
+            self.wake_waiter(worms, xbar, port);
         }
         let mut victim: Option<(Time, usize)> = None;
         for w in 0..worms.len() {
@@ -1572,7 +1454,7 @@ impl RouteSim {
             if progressed {
                 continue;
             }
-            if self.states[w].head_at + cfg.watchdog.stall_threshold > now {
+            if self.states[w].head_at + self.cfg.watchdog.stall_threshold > now {
                 continue;
             }
             let key = (self.rstates[w].started_at, w);
@@ -1581,38 +1463,27 @@ impl RouteSim {
             }
         }
         if let Some((_, w)) = victim {
-            self.rstats.recoveries += 1;
-            self.kill_and_retry(worms, w, now, cfg);
+            // Kill the stalled worm — it leaves its waiter queue and
+            // releases everything it holds (waking waiters) — and retry
+            // it under the normal backoff, route re-picked from current
+            // knowledge. No payload was streaming, so nothing is lost.
+            self.stats.recoveries += 1;
+            self.leave_waiter_queue(w);
+            self.rstates[w].phase = RPhase::Backoff;
+            let acquired = self.states[w].acquired;
+            self.release_span(worms, w, 0, acquired, now);
+            self.retry_or_drop(worms, w, now);
         }
         if self.live > 0 {
-            self.revents
-                .schedule(now + cfg.watchdog.scan_period, REvent::Scan);
+            self.events
+                .schedule(now + self.cfg.watchdog.scan_period, Event::Scan);
         }
-    }
-
-    /// Kills a stalled blocked worm — removes it from its waiter queue,
-    /// releases everything it holds (waking waiters) — and retries it
-    /// under the normal backoff, route re-picked from current
-    /// knowledge. No payload was streaming, so nothing is lost.
-    fn kill_and_retry(&mut self, worms: &[Worm], w: usize, now: Time, cfg: &ResilienceConfig) {
-        let st = self.states[w];
-        let h = self.arena[st.span_start + st.acquired];
-        let port = self.port_base[h.xbar] + h.out_port as usize;
-        if let Some(pos) = self.waiters[port].iter().position(|&x| x == w) {
-            self.waiters[port].remove(pos);
-        }
-        self.rstates[w].phase = RPhase::Backoff;
-        self.release_span(worms, w, 0, st.acquired, now, cfg);
-        self.retry_or_drop(worms, w, now, cfg);
     }
 }
 
-/// A chosen route for one attempt: span bounds in the candidate
-/// scratch, its link keys, and how it was picked.
+/// A chosen route for one attempt: its plane, its index in the
+/// candidate scratch, and whether it was a forced re-probe.
 struct Pick {
-    start: usize,
-    len: usize,
-    links: [LinkKey; 4],
     plane: u32,
     index: usize,
     forced_reprobe: bool,
@@ -1657,6 +1528,33 @@ mod tests {
         (t, s)
     }
 
+    fn worm(src: usize, dst: usize, payload: u32, inject_at: Time) -> Worm {
+        Worm {
+            src,
+            dst,
+            plane: 0,
+            payload,
+            inject_at,
+        }
+    }
+
+    /// `count` worms between distinct random nodes of `system256()`,
+    /// injected uniformly over the first `spread_ns` nanoseconds.
+    fn random_worms(seed: u64, count: usize, payload: u32, spread_ns: u64) -> Vec<Worm> {
+        let mut rng = pm_sim::rng::SimRng::seed_from(seed);
+        (0..count)
+            .map(|_| {
+                let src = rng.gen_range(0, 128) as usize;
+                let mut dst = rng.gen_range(0, 128) as usize;
+                if dst == src {
+                    dst = (dst + 1) % 128;
+                }
+                let at = Time::ZERO + Duration::from_ns(rng.gen_range(0, spread_ns));
+                worm(src, dst, payload, at)
+            })
+            .collect()
+    }
+
     #[test]
     fn candidate_enumeration_matches_equivalent_routes() {
         let (t, mut s) = sim128();
@@ -1682,13 +1580,7 @@ mod tests {
         let (t, mut s) = sim128();
         let route = t.route(0, 127, 0).expect("routes exist");
         assert_eq!(route.crossbars(), 3);
-        let worms = vec![Worm {
-            src: 0,
-            dst: 127,
-            plane: 0,
-            payload: 64,
-            inject_at: Time::ZERO,
-        }];
+        let worms = vec![worm(0, 127, 64, Time::ZERO)];
         let r = s.run(&worms, RoutePolicy::Oblivious);
         let bt = crate::wire::WireConfig::synchronous().byte_time;
         let decode = CrossbarConfig::powermanna().route_time;
@@ -1721,13 +1613,7 @@ mod tests {
         // to middle 0; adaptive spreads them over all eight middles.
         let (_, mut s) = sim128();
         let worms: Vec<Worm> = (0..8)
-            .map(|l| Worm {
-                src: l,
-                dst: (l + 1) * 8 + l,
-                plane: 0,
-                payload: 1024,
-                inject_at: Time::ZERO,
-            })
+            .map(|l| worm(l, (l + 1) * 8 + l, 1024, Time::ZERO))
             .collect();
         let obl = s.run(&worms, RoutePolicy::Oblivious);
         let ada = s.run(&worms, RoutePolicy::Adaptive);
@@ -1750,23 +1636,7 @@ mod tests {
         let t = Topology::system256();
         let mut reused = RouteSim::new(&t);
         for seed in [1u64, 2, 3] {
-            let mut rng = pm_sim::rng::SimRng::seed_from(seed);
-            let worms: Vec<Worm> = (0..200)
-                .map(|_| {
-                    let src = rng.gen_range(0, 128) as usize;
-                    let mut dst = rng.gen_range(0, 128) as usize;
-                    if dst == src {
-                        dst = (dst + 1) % 128;
-                    }
-                    Worm {
-                        src,
-                        dst,
-                        plane: 0,
-                        payload: 256,
-                        inject_at: Time::ZERO + Duration::from_ns(rng.gen_range(0, 10_000)),
-                    }
-                })
-                .collect();
+            let worms = random_worms(seed, 200, 256, 10_000);
             for policy in [RoutePolicy::Oblivious, RoutePolicy::Adaptive] {
                 let fresh = RouteSim::new(&t).run(&worms, policy);
                 let again = reused.run(&worms, policy);
@@ -1783,22 +1653,7 @@ mod tests {
         // Two worms to the same destination node: the second must wait
         // for the first's close on the final output port.
         let (_, mut s) = sim128();
-        let worms = vec![
-            Worm {
-                src: 0,
-                dst: 127,
-                plane: 0,
-                payload: 4096,
-                inject_at: Time::ZERO,
-            },
-            Worm {
-                src: 1,
-                dst: 127,
-                plane: 0,
-                payload: 64,
-                inject_at: Time::ZERO,
-            },
-        ];
+        let worms = vec![worm(0, 127, 4096, Time::ZERO), worm(1, 127, 64, Time::ZERO)];
         let r = s.run(&worms, RoutePolicy::Adaptive);
         assert!(r.completions[1] > r.completions[0]);
         assert!(r.conflicts >= 1);
@@ -1808,22 +1663,7 @@ mod tests {
     #[test]
     fn source_serialises_its_own_worms() {
         let (_, mut s) = sim128();
-        let worms = vec![
-            Worm {
-                src: 0,
-                dst: 100,
-                plane: 0,
-                payload: 2048,
-                inject_at: Time::ZERO,
-            },
-            Worm {
-                src: 0,
-                dst: 90,
-                plane: 0,
-                payload: 64,
-                inject_at: Time::ZERO,
-            },
-        ];
+        let worms = vec![worm(0, 100, 2048, Time::ZERO), worm(0, 90, 64, Time::ZERO)];
         let r = s.run(&worms, RoutePolicy::Adaptive);
         // Head-of-line at the source: the second worm starts only after
         // the first completes, even though the adaptive policy could
@@ -1834,22 +1674,7 @@ mod tests {
     #[test]
     fn on_time_bytes_respects_the_deadline() {
         let (_, mut s) = sim128();
-        let worms = vec![
-            Worm {
-                src: 0,
-                dst: 127,
-                plane: 0,
-                payload: 4096,
-                inject_at: Time::ZERO,
-            },
-            Worm {
-                src: 1,
-                dst: 127,
-                plane: 0,
-                payload: 64,
-                inject_at: Time::ZERO,
-            },
-        ];
+        let worms = vec![worm(0, 127, 4096, Time::ZERO), worm(1, 127, 64, Time::ZERO)];
         let r = s.run(&worms, RoutePolicy::Adaptive);
         let all = r.on_time_bytes(&worms, Duration::from_us(100_000));
         assert_eq!(all, 4096 + 64);
@@ -1860,16 +1685,6 @@ mod tests {
     }
 
     // --- resilient runs ---
-
-    fn worm(src: usize, dst: usize, payload: u32, inject_at: Time) -> Worm {
-        Worm {
-            src,
-            dst,
-            plane: 0,
-            payload,
-            inject_at,
-        }
-    }
 
     fn assert_conserved(r: &ResilientResult) {
         assert_eq!(r.stats.offered, r.stats.delivered + r.stats.dropped);
@@ -2040,32 +1855,62 @@ mod tests {
         assert_conserved(&r);
     }
 
+    /// A Poisson batch of 1 KB worms over all 128 nodes of
+    /// `system256()` at `load` times the plane-0 injection capacity.
+    fn poisson_worms(seed: u64, load: f64, count: usize) -> Vec<Worm> {
+        let bt = crate::wire::WireConfig::synchronous().byte_time;
+        let per_node_ps = (bt * 1025).as_ps() as f64;
+        let mean_gap_ps = per_node_ps / (128.0 * load);
+        let mut rng = pm_sim::rng::SimRng::seed_from(seed);
+        let mut at = Time::ZERO;
+        (0..count)
+            .map(|_| {
+                let gap = -(1.0 - rng.gen_f64()).ln() * mean_gap_ps;
+                at += Duration::from_ps(gap as u64);
+                let src = rng.gen_range(0, 128) as usize;
+                let dst = (src + 1 + rng.gen_range(0, 127) as usize) % 128;
+                worm(src, dst, 1024, at)
+            })
+            .collect()
+    }
+
     #[test]
     fn clean_resilient_run_matches_the_plain_simulation() {
         let t = Topology::system256();
         let mut s = RouteSim::new(&t);
-        let worms = permutation_worms(16, 8, 1024, 0, Time::ZERO);
-        let plain = s.run(&worms, RoutePolicy::Adaptive);
-        let cfg = ResilienceConfig::default();
-        let r = s
-            .run_resilient(&worms, &FaultPlan::clean(7), &cfg)
-            .expect("clean plan");
-        // Same physics, same adaptive decisions: the fault machinery
-        // must be invisible on a clean run…
-        for (w, o) in r.outcomes.iter().enumerate() {
-            let d = o.delivered().expect("clean runs deliver everything");
-            assert_eq!(d.finished, plain.completions[w], "worm {w}");
-            assert_eq!(d.attempts, 1);
+        // A conflict-free permutation, and a Poisson batch past the knee
+        // whose waiter FIFOs fill.
+        let batches = [
+            permutation_worms(16, 8, 1024, 0, Time::ZERO),
+            poisson_worms(5, 1.6, 3000),
+        ];
+        for worms in &batches {
+            let plain = s.run(worms, RoutePolicy::Adaptive);
+            let cfg = ResilienceConfig::default();
+            let r = s
+                .run_resilient(worms, &FaultPlan::clean(7), &cfg)
+                .expect("clean plan");
+            // Same physics, same adaptive decisions: the fault machinery
+            // must be invisible on a clean run…
+            for (w, o) in r.outcomes.iter().enumerate() {
+                let d = o.delivered().expect("clean runs deliver everything");
+                assert_eq!(d.finished, plain.completions[w], "worm {w}");
+                assert_eq!(d.attempts, 1);
+            }
+            assert_eq!(r.detours, plain.detours);
+            assert_eq!(r.conflicts, plain.conflicts);
+            assert_eq!(r.peak_inflight, plain.peak_inflight);
+            // …and the watchdog stays silent.
+            assert!(r.stats.scans > 0, "scans ran");
+            assert_eq!(r.stats.recoveries, 0);
+            assert_eq!(r.stats.orphan_reclaims, 0);
+            assert_eq!(r.stats.failed_opens, 0);
+            assert_conserved(&r);
         }
-        assert_eq!(r.detours, plain.detours);
-        assert_eq!(r.conflicts, plain.conflicts);
-        assert_eq!(r.peak_inflight, plain.peak_inflight);
-        // …and the watchdog stays silent.
-        assert!(r.stats.scans > 0, "scans ran");
-        assert_eq!(r.stats.recoveries, 0);
-        assert_eq!(r.stats.orphan_reclaims, 0);
-        assert_eq!(r.stats.failed_opens, 0);
-        assert_conserved(&r);
+        assert!(
+            s.run(&batches[1], RoutePolicy::Adaptive).conflicts > 0,
+            "the Poisson batch must contend"
+        );
     }
 
     #[test]
@@ -2077,22 +1922,7 @@ mod tests {
             .expect("rate ok")
             .random_link_downs(&t, 6, Duration::from_us(200))
             .repair_all_after(Duration::from_us(300));
-        let mut rng = pm_sim::rng::SimRng::seed_from(99);
-        let worms: Vec<Worm> = (0..200)
-            .map(|_| {
-                let src = rng.gen_range(0, 128) as usize;
-                let mut dst = rng.gen_range(0, 128) as usize;
-                if dst == src {
-                    dst = (dst + 1) % 128;
-                }
-                worm(
-                    src,
-                    dst,
-                    512,
-                    Time::ZERO + Duration::from_ns(rng.gen_range(0, 400_000)),
-                )
-            })
-            .collect();
+        let worms = random_worms(99, 200, 512, 400_000);
         for failover in [FailoverMode::Oracle, FailoverMode::Detected] {
             let cfg = ResilienceConfig {
                 failover,
@@ -2129,6 +1959,38 @@ mod tests {
     }
 
     #[test]
+    fn zero_scan_period_is_a_typed_error() {
+        let (_, mut s) = sim128();
+        let cfg = ResilienceConfig {
+            watchdog: WatchdogConfig {
+                scan_period: Duration::ZERO,
+                ..WatchdogConfig::default()
+            },
+            ..ResilienceConfig::default()
+        };
+        let err = s
+            .run_resilient(&[worm(0, 1, 64, Time::ZERO)], &FaultPlan::clean(1), &cfg)
+            .expect_err("a zero scan period would never return");
+        assert_eq!(err, FaultPlanError::ZeroScanPeriod);
+    }
+
+    #[test]
+    fn zero_attempts_is_a_typed_error() {
+        let (_, mut s) = sim128();
+        let cfg = ResilienceConfig {
+            retry: RetransmitPolicy {
+                max_attempts: 0,
+                ..RetransmitPolicy::default()
+            },
+            ..ResilienceConfig::default()
+        };
+        let err = s
+            .run_resilient(&[worm(0, 1, 64, Time::ZERO)], &FaultPlan::clean(1), &cfg)
+            .expect_err("zero attempts can never transmit");
+        assert_eq!(err, FaultPlanError::ZeroAttempts);
+    }
+
+    #[test]
     fn retransmit_jitter_is_deterministic_and_bounded() {
         let p = RetransmitPolicy::default();
         for attempt in 1..=24 {
@@ -2144,5 +2006,10 @@ mod tests {
             gaps.iter().any(|&g| g != gaps[0]),
             "jitter must spread retries across worms"
         );
+        // Without a jitter seed the gap is the exact capped doubling.
+        let exact = RetransmitPolicy { jitter: None, ..p };
+        assert_eq!(exact.gap_after(42, 1), Duration::from_us(2));
+        assert_eq!(exact.gap_after(7, 4), Duration::from_us(16));
+        assert_eq!(exact.gap_after(7, 40), Duration::from_us(256));
     }
 }

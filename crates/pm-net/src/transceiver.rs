@@ -160,11 +160,6 @@ impl Transceiver {
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
-
-    /// FIFO occupancy at `t`.
-    pub fn fifo_level(&self, t: Time) -> u32 {
-        self.fifo.level(t)
-    }
 }
 
 #[cfg(test)]

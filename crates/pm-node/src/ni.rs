@@ -231,11 +231,6 @@ impl NiDirection {
         self.config.status_poll_cost
     }
 
-    /// Bytes sitting in (or in flight towards) the receive FIFO at `t`.
-    pub fn recv_level(&self, t: Time) -> u32 {
-        self.credit.level(t)
-    }
-
     /// Total payload bytes pushed through this direction.
     pub fn bytes(&self) -> u64 {
         self.bytes

@@ -219,11 +219,6 @@ impl MetricRegistry {
         &mut self.trace
     }
 
-    /// Read-only view of the trace.
-    pub fn trace_ref(&self) -> &TraceLog {
-        &self.trace
-    }
-
     fn register(&mut self, path: &str, make: impl FnOnce(&str) -> Metric) -> MetricId {
         debug_assert!(
             !path.is_empty() && !path.starts_with('/') && !path.ends_with('/'),

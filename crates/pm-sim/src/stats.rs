@@ -5,7 +5,6 @@
 //! (CSV, markdown tables, ASCII plots) so the repository stays free of
 //! plotting dependencies.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A named monotonically increasing event counter.
@@ -324,14 +323,6 @@ impl Series {
         }
         None
     }
-
-    /// The maximum `y` value, if any.
-    pub fn y_max(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, y)| y)
-            .fold(None, |m, y| Some(m.map_or(y, |m: f64| m.max(y))))
-    }
 }
 
 /// A collection of series sharing an x-axis — one paper figure.
@@ -601,58 +592,6 @@ impl Table {
     }
 }
 
-/// A bag of named counters, convenient for per-component statistics.
-///
-/// # Examples
-///
-/// ```
-/// use pm_sim::stats::Counters;
-///
-/// let mut c = Counters::new();
-/// c.add("hits", 2);
-/// c.incr("hits");
-/// assert_eq!(c.get("hits"), 3);
-/// assert_eq!(c.get("absent"), 0);
-/// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Counters {
-    map: BTreeMap<String, u64>,
-}
-
-impl Counters {
-    /// Creates an empty bag.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to counter `name`, creating it if absent.
-    pub fn add(&mut self, name: &str, n: u64) {
-        *self.map.entry(name.to_string()).or_insert(0) += n;
-    }
-
-    /// Adds one to counter `name`.
-    pub fn incr(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Reads a counter; absent counters read as zero.
-    pub fn get(&self, name: &str) -> u64 {
-        self.map.get(name).copied().unwrap_or(0)
-    }
-
-    /// Iterates counters in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.map.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Merges another bag into this one, summing shared names.
-    pub fn merge(&mut self, other: &Counters) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -772,18 +711,5 @@ mod tests {
         t.add_row(vec!["x".into(), "1".into()]);
         assert!(t.to_markdown().contains("| x | 1 |"));
         assert_eq!(t.to_csv(), "k,v\nx,1\n");
-    }
-
-    #[test]
-    fn counters_merge() {
-        let mut a = Counters::new();
-        a.add("n", 1);
-        let mut b = Counters::new();
-        b.add("n", 2);
-        b.add("m", 5);
-        a.merge(&b);
-        assert_eq!(a.get("n"), 3);
-        assert_eq!(a.get("m"), 5);
-        assert_eq!(a.iter().count(), 2);
     }
 }

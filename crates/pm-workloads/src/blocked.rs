@@ -8,7 +8,6 @@
 //! software, which sharpens the paper's hardware story (the long cache
 //! lines punish exactly the codes that do neither transform).
 
-use crate::matmult::MatMult;
 use pm_isa::{Trace, TraceBuilder};
 
 /// A tiled `C = A * B` kernel over row-major matrices with odd strides.
@@ -117,11 +116,6 @@ impl BlockedMatMult {
             }
         }
         tb.finish()
-    }
-
-    /// The plain naive kernel at the same size, for side-by-side runs.
-    pub fn naive_equivalent(&self) -> MatMult {
-        MatMult::new(self.n, crate::matmult::MatMultVersion::Naive)
     }
 }
 

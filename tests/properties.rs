@@ -757,17 +757,22 @@ fn page_placement_bijective() {
 #[test]
 fn fault_plans_are_seed_deterministic() {
     use powermanna::net::fault::FaultPlan;
+    let topologies = [
+        Topology::two_nodes(),
+        Topology::cluster8(),
+        Topology::system256(),
+    ];
     let mut rng = cases(17);
     for _ in 0..64 {
         let seed = rng.next_u64();
-        let nodes = rng.gen_range(2, 256) as usize;
+        let topology = &topologies[rng.gen_range(0, 3) as usize];
         let count = rng.gen_range(1, 20) as u32;
         let horizon = Duration::from_us(rng.gen_range(1, 10_000));
         let plan = |s: u64| {
             FaultPlan::clean(s)
                 .with_transient_rate(0.25)
                 .unwrap()
-                .random_node_link_downs(nodes, count, horizon)
+                .random_link_downs(topology, count, horizon)
         };
         let a = plan(seed);
         assert_eq!(a, plan(seed), "schedule must replay byte-identically");

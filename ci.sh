@@ -33,6 +33,22 @@ cargo test --release -q --test parity
 echo "== figure shape checks (quick) =="
 cargo run --release -p pm-bench --bin figures -- --quick --checks
 
+echo "== paper-figure golden (quick) =="
+# Pins every experiment that has no golden of its own: Table 1, the
+# paper's Figures 6-12 and the X1-X4, X7, X9-X11 extensions. These run
+# the CPU step loop, the memory hierarchy, HINT/MatMult/stencil traces
+# and the node/communication models, so any timing drift on those paths
+# shows up as a CSV diff. Regenerate an intentional change with:
+#   cargo run --release -p pm-bench --bin figures -- --quick --csv \
+#     table1 fig6a fig6b fig7a fig7b fig8a fig8b fig9 fig10 fig11 fig12 \
+#     scale4 routing fifo_ablation duallink collectives tiling \
+#     app_stencil earth > tests/goldens/paper_quick.csv
+cargo run --release -p pm-bench --bin figures -- --quick --csv \
+  table1 fig6a fig6b fig7a fig7b fig8a fig8b fig9 fig10 fig11 fig12 \
+  scale4 routing fifo_ablation duallink collectives tiling \
+  app_stencil earth > target/paper_quick.csv
+diff -u tests/goldens/paper_quick.csv target/paper_quick.csv
+
 echo "== connection-model goldens (quick X5/X6) =="
 # The network/mesh connection models feed the X5/X6 artifacts; any
 # timing change in open/transfer/close or the stop-wire composition

@@ -741,7 +741,8 @@ fn x8_goodput(quick: bool, rate: f64, kill_plane0: bool) -> f64 {
     if kill_plane0 {
         plan = plan.kill_link(kill_at, LinkRef::NodeLink { node: 0, plane: 0 });
     }
-    let mut rn = ResilientNetwork::new(Network::new(Topology::two_nodes()), plan);
+    let mut rn = ResilientNetwork::new(Network::new(Topology::two_nodes()), plan)
+        .expect("the plan names two_nodes links");
     let mut buf = vec![0u8; payload];
     // Two independent streams, one preferring each plane, with their
     // own time cursors — the clean case keeps both planes busy.

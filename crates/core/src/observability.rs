@@ -185,7 +185,8 @@ fn comm_section(reg: &mut MetricRegistry, quick: bool) {
             Time::from_ps(200_000_000),
             LinkRef::NodeLink { node: 0, plane: 0 },
         );
-    let mut rn = ResilientNetwork::new(Network::new(Topology::two_nodes()), plan);
+    let mut rn = ResilientNetwork::new(Network::new(Topology::two_nodes()), plan)
+        .expect("the plan names two_nodes links");
     let mut buf = vec![0u8; payload];
     let mut t = Time::ZERO;
     for i in 0..messages {

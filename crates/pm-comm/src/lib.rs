@@ -16,9 +16,8 @@
 //! * [`baselines`] — calibrated LogGP-style models of BIP and FM on the
 //!   Myrinet/PentiumPro cluster the paper compares against (its own
 //!   numbers are quoted from the literature, so ours are too).
-//! * [`reliable`] — the recovery tiers over the CRC: capped
-//!   stop-and-wait retransmission on one channel, and
-//!   [`reliable::ResilientNetwork`] driving retransmission, plane
+//! * [`reliable`] — the recovery tiers over the CRC:
+//!   [`reliable::ResilientNetwork`] driving capped retransmission, plane
 //!   failover and fault accounting over multi-hop routes.
 //!
 //! # Examples
@@ -46,6 +45,4 @@ pub use config::CommConfig;
 pub use duplex::{DuplexChannel, Message, RecvError};
 pub use earth::{EarthConfig, EarthRun};
 pub use mpi::MpiWorld;
-pub use reliable::{
-    DeliveryError, ReliabilityStats, ReliableChannel, ResilientNetwork, DEFAULT_RETRY,
-};
+pub use reliable::{DeliveryError, ResilientNetwork, DEFAULT_RETRY};

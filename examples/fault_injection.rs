@@ -37,7 +37,8 @@ fn main() {
     // with exponential backoff resends them. Tier 2: when the plane-0
     // link dies, opens fail over to the secondary plane (240 -> 120
     // Mbyte/s, but zero loss).
-    let mut rn = ResilientNetwork::new(Network::new(Topology::two_nodes()), plan);
+    let mut rn = ResilientNetwork::new(Network::new(Topology::two_nodes()), plan)
+        .expect("the plan names two_nodes links");
     let mut t = Time::ZERO;
     for seq in 0..16u8 {
         let payload = vec![seq; 8192];

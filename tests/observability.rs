@@ -172,7 +172,7 @@ fn x8_registry_goodput_matches_fault_ledger_exactly() {
                 Time::from_ps(150_000_000),
                 LinkRef::NodeLink { node: 0, plane: 0 },
             );
-        let mut rn = ResilientNetwork::new(Network::new(Topology::two_nodes()), plan);
+        let mut rn = ResilientNetwork::new(Network::new(Topology::two_nodes()), plan).unwrap();
         let mut reg = MetricRegistry::new();
         let mut buf = vec![0u8; 4096];
         let mut cursors = [Time::ZERO; 2];

@@ -821,7 +821,7 @@ fn multi_hop_transport_survives_heavy_corruption() {
     let plan = FaultPlan::clean(0xB17F11B)
         .with_transient_rate(0.5)
         .unwrap();
-    let mut rn = ResilientNetwork::new(Network::new(Topology::system256()), plan);
+    let mut rn = ResilientNetwork::new(Network::new(Topology::system256()), plan).unwrap();
     let mut rng = cases(19);
     let mut t = Time::ZERO;
     for seq in 0..40u64 {
@@ -858,7 +858,7 @@ fn plane_failover_loses_and_reorders_nothing() {
         Time::from_ps(400_000_000),
         LinkRef::NodeLink { node: 0, plane: 0 },
     );
-    let mut rn = ResilientNetwork::new(Network::new(Topology::two_nodes()), plan);
+    let mut rn = ResilientNetwork::new(Network::new(Topology::two_nodes()), plan).unwrap();
     let mut t = Time::ZERO;
     let mut deliveries = Vec::new();
     for seq in 0..24u64 {

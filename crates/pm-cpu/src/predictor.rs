@@ -67,15 +67,6 @@ impl BranchPredictor {
         self.mispredicts
     }
 
-    /// Misprediction rate (0.0 when unused).
-    pub fn mispredict_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.mispredicts as f64 / self.lookups as f64
-        }
-    }
-
     /// Resets counters and statistics.
     pub fn reset(&mut self) {
         self.table.fill(1);
@@ -110,7 +101,7 @@ mod tests {
             bp.predict_and_update(0x20, i % 2 == 0);
         }
         assert!(
-            bp.mispredict_rate() > 0.4,
+            bp.mispredicts() * 10 > bp.lookups() * 4,
             "alternating pattern should mispredict heavily"
         );
     }
